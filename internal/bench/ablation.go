@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/datatype"
 	"repro/internal/fusion"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
@@ -117,10 +118,13 @@ func AblationPartitioning() *Table {
 		var span int64
 		env.Spawn("pe", func(p *sim.Proc) {
 			var uids []int64
+			// Cost-only requests: the aggregates drive the kernel model
+			// and the empty plan moves no bytes.
+			empty := datatype.CompilePlan(datatype.Canonicalize(nil, 0))
 			enq := func(bytes int64, segs int, max int64) {
 				src := dev.Alloc(fmt.Sprintf("s%d", len(uids)), 1)
 				dst := dev.Alloc(fmt.Sprintf("d%d", len(uids)), 1)
-				j := &pack.Job{Op: pack.OpPack, Origin: src, Target: dst, Bytes: bytes, Segments: segs, MaxBlock: max}
+				j := &pack.Job{Op: pack.OpPack, Origin: src, Target: dst, Plan: empty, Bytes: bytes, Segments: segs, MaxBlock: max}
 				uids = append(uids, sched.Enqueue(p, j))
 			}
 			for i := 0; i < 15; i++ {

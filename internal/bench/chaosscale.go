@@ -259,14 +259,11 @@ func runChaosScale(ranks int, mode string) (chaosMeasure, error) {
 			return cm, fmt.Errorf("bench: adopted state differs from rank %d's captured state", d)
 		}
 	}
-	if lk := w.LeakedRequests(); lk != 0 {
-		return cm, fmt.Errorf("bench: chaos-scale run leaked %d requests", lk)
+	if err := endChecks("chaos-scale run", env, w, nil); err != nil {
+		return cm, err
 	}
 	if fj := w.PendingFusedJobs(); fj != 0 {
 		return cm, fmt.Errorf("bench: chaos-scale run stranded %d fused jobs", fj)
-	}
-	if lp := env.LiveProcs(); lp != 0 {
-		return cm, fmt.Errorf("bench: chaos-scale run left %d live procs", lp)
 	}
 	return cm, nil
 }

@@ -13,14 +13,14 @@ import (
 // canonical datatype representation. Two tables:
 //
 //   - PackPlans measures *host* wall-time of the compiled plan against the
-//     legacy block-list loop over the ddtbench workload shapes. Virtual
-//     simulator time is invariant by design (plans change how fast the
-//     host executes a pack, never what the cost model charges), so the
-//     speedup here is real execution speed, not simulated time.
+//     flatten-based block-list loop of Layout.Pack over the ddtbench
+//     workload shapes. Virtual simulator time is invariant by design
+//     (plans change how fast the host executes a pack, never what the
+//     cost model charges), so the speedup here is real execution speed,
+//     not simulated time.
 //   - PlanCounters runs the bulk exchange per workload and reports the
-//     canonical-cache "plan" counter row: hits, misses, evictions, and
-//     plans compiled by kind, so cache behavior is visible without a
-//     debugger.
+//     canonical-cache "plan" counter row: hits, misses and plans compiled
+//     by kind, so cache behavior is visible without a debugger.
 
 // packBench times fn and returns ns/op: repetitions calibrated so one
 // sample runs ~1ms, then min-of-7 samples so scheduler noise on a shared
@@ -68,7 +68,7 @@ func planDims(w workload.Workload) []int {
 	return []int{d[len(d)/2], d[len(d)-1]}
 }
 
-// PackPlans compares legacy block-list packing against the compiled
+// PackPlans compares block-list packing (Layout.Pack) against the compiled
 // per-canonical-form plan on every ddtbench workload shape (host ns/op).
 func PackPlans() *Table {
 	t := &Table{
@@ -103,7 +103,7 @@ func PackPlans() *Table {
 func PlanCounters(spec cluster.Spec) *Table {
 	t := &Table{
 		Title: "plan counters: canonical layout-cache behavior per bulk exchange (Proposed-Tuned)",
-		Header: []string{"Counter", "Workload", "Dim", "Hits", "Misses", "Evict",
+		Header: []string{"Counter", "Workload", "Dim", "Hits", "Misses",
 			"Contig", "Strided", "Gather"},
 	}
 	for _, w := range workload.All() {
@@ -111,13 +111,13 @@ func PlanCounters(spec cluster.Spec) *Table {
 		res := RunBulk(BulkOptions{System: spec, Scheme: "Proposed-Tuned", Workload: w, Dim: dim})
 		if res.VerifyErr != nil {
 			t.Rows = append(t.Rows, []string{"plan", w.Name, fmt.Sprint(dim),
-				"ERR", res.VerifyErr.Error(), "", "", "", ""})
+				"ERR", res.VerifyErr.Error(), "", "", ""})
 			continue
 		}
 		s := res.Plans
 		t.Rows = append(t.Rows, []string{
 			"plan", w.Name, fmt.Sprint(dim),
-			fmt.Sprint(s.Hits), fmt.Sprint(s.Misses), fmt.Sprint(s.Evictions),
+			fmt.Sprint(s.Hits), fmt.Sprint(s.Misses),
 			fmt.Sprint(s.Compiled[datatype.PlanContig]),
 			fmt.Sprint(s.Compiled[datatype.PlanStrided]),
 			fmt.Sprint(s.Compiled[datatype.PlanGather]),

@@ -50,7 +50,7 @@ func TestPlanCountersTable(t *testing.T) {
 			t.Errorf("row %v: warm exchange should report hits and misses", row)
 		}
 		var compiled int64
-		for _, col := range []int{6, 7, 8} {
+		for _, col := range []int{5, 6, 7} {
 			n, _ := strconv.ParseInt(row[col], 10, 64)
 			compiled += n
 		}

@@ -78,14 +78,7 @@ func runRMAAllgatherv(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, err
 		err = bodyErr
 	}
 	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: rma run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if po := f.PendingOps(); po != 0 {
-			err = fmt.Errorf("bench: rma run left %d one-sided ops pending", po)
-		}
+		err = endChecks("rma run", env, w, f)
 	}
 	m := rmaMeasure{
 		ns:   env.Now(),
@@ -197,14 +190,7 @@ func runRMAAlltoallw(ranks int, lazy bool, alg coll.Algorithm) (rmaMeasure, [2]i
 		err = bodyErr
 	}
 	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: rma a2a run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if po := f.PendingOps(); po != 0 {
-			err = fmt.Errorf("bench: rma a2a run left %d one-sided ops pending", po)
-		}
+		err = endChecks("rma a2a run", env, w, f)
 	}
 	m := rmaMeasure{
 		ns:   env.Now(),

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/rma"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 )
@@ -100,16 +101,27 @@ func measure(env *sim.Env, w *mpi.World, body func(r *mpi.Rank, p *sim.Proc)) (s
 		m.kernels += w.Rank(i).Dev.Stats.KernelLaunches
 	}
 	if err == nil {
-		if lk := w.LeakedRequests(); lk != 0 {
-			err = fmt.Errorf("bench: scale run leaked %d requests", lk)
-		}
-	}
-	if err == nil {
-		if lp := env.LiveProcs(); lp != 0 {
-			err = fmt.Errorf("bench: scale run left %d live procs", lp)
-		}
+		err = endChecks("scale run", env, w, nil)
 	}
 	return m, err
+}
+
+// endChecks is the end-of-run leak oracle of the scale-style figures: no
+// leaked request, no live proc and, when the run built a one-sided fabric
+// (f != nil), no pending one-sided op.
+func endChecks(run string, env *sim.Env, w *mpi.World, f *rma.Fabric) error {
+	if lk := w.LeakedRequests(); lk != 0 {
+		return fmt.Errorf("bench: %s leaked %d requests", run, lk)
+	}
+	if lp := env.LiveProcs(); lp != 0 {
+		return fmt.Errorf("bench: %s left %d live procs", run, lp)
+	}
+	if f != nil {
+		if po := f.PendingOps(); po != 0 {
+			return fmt.Errorf("bench: %s left %d one-sided ops pending", run, po)
+		}
+	}
+	return nil
 }
 
 // makeScaleA2AOps builds the sparse op matrix: every rank has nonzero legs

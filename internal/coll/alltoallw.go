@@ -287,8 +287,7 @@ func (c *call) alltoallwHier(ops []WOp) error {
 			continue
 		}
 		e := r.LayoutEntry(ops[dst].SendType, ops[dst].SendCount)
-		job := pack.NewJob(pack.OpPack, ops[dst].SendBuf, stagingOut, e.Blocks)
-		job.Plan = e.Plan
+		job := pack.NewJob(pack.OpPack, ops[dst].SendBuf, stagingOut, e)
 		job.TargetOff = plan.outOff[[2]int{id, dst}]
 		packHs = append(packHs, r.Scheme().Pack(c.p, job))
 		c.bytes += myOut[dst]

@@ -168,7 +168,6 @@ func runScenario(sc Scenario, scheme string, fill fillKind, lazy bool) (*Result,
 		cfg.EagerLimitBytes = sc.EagerLimit
 	}
 	cfg.DisableIPC = sc.DisableIPC
-	cfg.DisablePackPlans = sc.DisablePlans
 	if sc.Pipeline {
 		cfg.PipelineChunkBytes = 2048
 	}
@@ -430,49 +429,6 @@ func ChaosLazyDifferential(sc Scenario, scheme string) error {
 		if r.Leaked != 0 || r.PendingFused != 0 {
 			return fmt.Errorf("conformance: %s %s chaos run leaked state: requests=%d fused=%d",
 				scheme, mode, r.Leaked, r.PendingFused)
-		}
-	}
-	return nil
-}
-
-// PlanDifferential runs sc under one scheme with compiled pack plans
-// enabled and disabled (the legacy block-list path), in both exact and
-// lazy payload modes, and asserts the four runs are observationally
-// identical: same receive checksum and bytes, same final virtual clock,
-// same per-category trace totals, same GPU work accounting. Plans are a
-// host-side execution strategy — any divergence here is a plan-compiler
-// or plan-runtime bug.
-func PlanDifferential(sc Scenario, scheme string) error {
-	for _, lazy := range []bool{false, true} {
-		mode := map[bool]string{false: "exact", true: "lazy"}[lazy]
-		scOn, scOff := sc, sc
-		scOn.DisablePlans = false
-		scOff.DisablePlans = true
-		on, err := runScenario(scOn, scheme, fillPRF, lazy)
-		if err != nil {
-			return fmt.Errorf("%s/plans: %w", mode, err)
-		}
-		off, err := runScenario(scOff, scheme, fillPRF, lazy)
-		if err != nil {
-			return fmt.Errorf("%s/legacy: %w", mode, err)
-		}
-		if on.RecvSum != off.RecvSum {
-			return fmt.Errorf("conformance: %s %s plan recv checksum %#x != legacy %#x", scheme, mode, on.RecvSum, off.RecvSum)
-		}
-		if err := compare(scheme+"/"+mode+"/plans", scheme+"/"+mode+"/legacy", on.Recv, off.Recv); err != nil {
-			return err
-		}
-		if on.FinalClock != off.FinalClock {
-			return fmt.Errorf("conformance: %s %s plan final clock %d ns != legacy %d ns", scheme, mode, on.FinalClock, off.FinalClock)
-		}
-		for cat, ns := range on.Trace {
-			if off.Trace[cat] != ns {
-				return fmt.Errorf("conformance: %s %s plan trace[%s] %d ns != legacy %d ns", scheme, mode, cat, ns, off.Trace[cat])
-			}
-		}
-		if on.Kernels != off.Kernels || on.MovedBytes != off.MovedBytes {
-			return fmt.Errorf("conformance: %s %s plan GPU accounting (kernels=%d bytes=%d) != legacy (kernels=%d bytes=%d)",
-				scheme, mode, on.Kernels, on.MovedBytes, off.Kernels, off.MovedBytes)
 		}
 	}
 	return nil

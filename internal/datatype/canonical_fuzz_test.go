@@ -21,9 +21,10 @@ import (
 //     with the layout's;
 //   - the signature is self-consistent: re-canonicalizing the expanded
 //     blocks yields the identical signature and hash (a fixed point);
-//   - the compiled plan moves exactly SizeBytes and agrees byte-for-byte
-//     with the legacy block-list gather, for every generated shape
-//     including overlapping and descending displacements.
+//   - the compiled plan moves exactly SizeBytes, and its pack and unpack
+//     agree byte-for-byte with Layout.Pack and Layout.Unpack (the
+//     flatten-based reference) for every generated shape, including
+//     overlapping and descending displacements.
 func FuzzCanonicalize(f *testing.F) {
 	for _, in := range conformance.SeedInputs {
 		f.Add(in)
@@ -59,7 +60,8 @@ func FuzzCanonicalize(f *testing.F) {
 				typ.TypeName(), c.Signature(), again.Signature())
 		}
 
-		// The compiled plan's gather agrees with the block-list gather.
+		// The compiled plan's gather agrees with the block-list gather of
+		// Layout.Pack.
 		plan := datatype.CompilePlan(c)
 		span := l.ExtentBytes
 		for _, b := range l.Blocks {
@@ -82,8 +84,31 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: plan/legacy pack diverge at wire byte %d (%d vs %d)",
+				t.Fatalf("%s: plan/reference pack diverge at wire byte %d (%d vs %d)",
 					typ.TypeName(), i, got[i], want[i])
+			}
+		}
+
+		// The compiled plan's scatter agrees with the block-list scatter,
+		// bytes outside the blocks included (both destinations start
+		// from the same fill).
+		wire := make([]byte, l.SizeBytes)
+		for i := range wire {
+			wire[i] = byte(i*29 + 5)
+		}
+		wantDst, gotDst := make([]byte, span), make([]byte, span)
+		for i := range wantDst {
+			wantDst[i] = byte(i*7 + 3)
+		}
+		copy(gotDst, wantDst)
+		l.Unpack(wire, wantDst)
+		if n := plan.Unpack(wire, gotDst); n != l.SizeBytes {
+			t.Fatalf("%s: plan unpacked %d bytes, want %d", typ.TypeName(), n, l.SizeBytes)
+		}
+		for i := range wantDst {
+			if gotDst[i] != wantDst[i] {
+				t.Fatalf("%s: plan/reference unpack diverge at byte %d (%d vs %d)",
+					typ.TypeName(), i, gotDst[i], wantDst[i])
 			}
 		}
 	})

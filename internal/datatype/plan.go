@@ -4,10 +4,11 @@ package datatype
 // stride structure, the TEMPI move of turning "interpret a block list" into
 // "run the routine compiled for this family". A Plan is compiled once per
 // (canonical form, count) cache entry and then serves every equivalent
-// datatype spelling; the simulated cost model is untouched (plans change
-// how fast the host executes the byte movement, not the virtual-time
-// charges), which is what keeps the plans-enabled and legacy block-list
-// paths bit-identical on the simulated clock.
+// datatype spelling. Every simulated pack and unpack runs through one; the
+// simulated cost model is untouched (plans change how fast the host
+// executes the byte movement, not the virtual-time charges). Layout.Pack
+// and Layout.Unpack stay as the flatten-based reference the plan tests
+// compare against.
 
 // PlanKind classifies the specialization a canonical form compiled to.
 type PlanKind int
@@ -121,8 +122,9 @@ func (p *Plan) compileFlat() {
 }
 
 // Pack gathers the plan's blocks from src into contiguous dst, returning
-// the bytes written. Byte-identical to the legacy block-list gather by
-// construction (the runs expand to the same sequence in the same order).
+// the bytes written. Byte-identical to the block-list gather of
+// Layout.Pack by construction (the runs expand to the same sequence in the
+// same order).
 func (p *Plan) Pack(src, dst []byte) int64 {
 	switch p.Kind {
 	case PlanEmpty:

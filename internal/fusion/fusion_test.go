@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -40,7 +41,7 @@ func mkPackJob(dev *gpu.Device, seed int64, blocks, blockLen int) (*pack.Job, fu
 	dst := dev.Alloc(fmt.Sprintf("dst%d", jobSeq), int(l.SizeBytes))
 	rng := rand.New(rand.NewSource(seed))
 	rng.Read(src.Data)
-	job := pack.NewJob(pack.OpPack, src, dst, l.Blocks)
+	job := pack.NewJob(pack.OpPack, src, dst, layoutcache.NewEntry(l.Blocks, l.ExtentBytes))
 	verify := func() error {
 		ref := make([]byte, l.SizeBytes)
 		l.Pack(src.Data, ref)

@@ -7,11 +7,7 @@
 // list and compiled pack plan.
 package layoutcache
 
-import (
-	"container/list"
-
-	"repro/internal/datatype"
-)
+import "repro/internal/datatype"
 
 // Key identifies a cached entry: the canonical signature of the committed
 // datatype plus the element count of the communication call. Two layouts
@@ -22,9 +18,9 @@ type Key struct {
 	Count int
 }
 
-// Entry is an immutable cached flattened layout for (canonical form, count).
+// Entry is a flattened layout for (canonical form, count) with its
+// compiled pack plan. Everything but the charge mark is immutable.
 type Entry struct {
-	Key      Key
 	Blocks   []datatype.Block
 	Bytes    int64 // payload per message
 	Segments int   // contiguous segments per message
@@ -33,9 +29,37 @@ type Entry struct {
 
 	// Canon is the canonical stride-run form of the *repeated* block list
 	// (count elements at extent stride), and Plan the pack routine
-	// compiled from it. Plan is nil when the owning cache disables plans.
+	// compiled from it.
 	Canon *datatype.Canonical
 	Plan  *datatype.Plan
+
+	charged bool
+}
+
+// NewEntry flattens blocks (pack order, spanning extent bytes) into an
+// entry and compiles its plan, outside any cache. Cache misses build their
+// entries with it; so does anything that packs a block list no cache
+// holds, such as one chunk of a pipelined send.
+func NewEntry(blocks []datatype.Block, extent int64) *Entry {
+	e := &Entry{Blocks: blocks, Segments: len(blocks), Extent: extent}
+	for _, b := range blocks {
+		e.Bytes += b.Len
+		if b.Len > e.MaxBlock {
+			e.MaxBlock = b.Len
+		}
+	}
+	e.Canon = datatype.Canonicalize(blocks, extent)
+	e.Plan = datatype.CompilePlan(e.Canon)
+	return e
+}
+
+// MarkCharged records one charged lookup of e and reports whether an
+// earlier charged lookup had already reached it. The caller prices the
+// lookup from that answer, so uncharged lookups (which only fetch the
+// plan) never turn a later charged miss into a hit.
+func (e *Entry) MarkCharged() (warm bool) {
+	warm, e.charged = e.charged, true
+	return warm
 }
 
 // CostModel prices cache interactions in virtual nanoseconds so the MPI
@@ -63,9 +87,8 @@ func (m CostModel) Lookup(hit bool, segments int) int64 {
 
 // Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits   int64
+	Misses int64
 	// Compiled counts plans compiled since creation, by plan kind.
 	Compiled [datatype.NumPlanKinds]int64
 }
@@ -74,7 +97,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Evictions += o.Evictions
 	for i := range s.Compiled {
 		s.Compiled[i] += o.Compiled[i]
 	}
@@ -89,97 +111,45 @@ func (s Stats) TotalCompiled() int64 {
 	return n
 }
 
-// Cache is an LRU layout cache. It is not safe for concurrent use; in the
-// simulation each rank owns one cache, matching the per-process caches of
-// the real runtime.
+// Cache is an unbounded layout cache. It is not safe for concurrent use;
+// in the simulation each rank owns one cache, matching the per-process
+// caches of the real runtime. A lookup never decides a virtual-time
+// charge: callers that charge ask the entry (Entry.MarkCharged).
 type Cache struct {
-	capacity int
-	items    map[Key]*list.Element
-	lru      *list.List // front = most recent
-
-	// DisablePlans skips plan compilation, forcing consumers onto the
-	// legacy block-list path (the differential-oracle control arm).
-	DisablePlans bool
+	items map[Key]*Entry
 
 	// Stats
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Compiled  [datatype.NumPlanKinds]int64
+	Hits     int64
+	Misses   int64
+	Compiled [datatype.NumPlanKinds]int64
 }
 
-// New creates a cache holding at most capacity entries; capacity <= 0 means
-// unbounded.
-func New(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		items:    make(map[Key]*list.Element),
-		lru:      list.New(),
-	}
+// New creates an empty cache.
+func New() *Cache {
+	return &Cache{items: make(map[Key]*Entry)}
 }
 
 // Len reports the number of cached entries.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.items) }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, Compiled: c.Compiled}
+	return Stats{Hits: c.Hits, Misses: c.Misses, Compiled: c.Compiled}
 }
 
 // Get returns the flattened layout for count elements of l, computing and
-// caching it on first use. The boolean reports whether this was a hit.
-// The key is l's canonical signature, so equivalent spellings hit the same
-// entry and the plan is compiled once per family.
+// caching it on first use. The boolean reports whether the entry already
+// existed. The key is l's canonical signature, so equivalent spellings hit
+// the same entry and the plan is compiled once per family.
 func (c *Cache) Get(l *datatype.Layout, count int) (*Entry, bool) {
 	k := Key{Sig: l.Canonical(), Count: count}
-	if el, ok := c.items[k]; ok {
+	if e, ok := c.items[k]; ok {
 		c.Hits++
-		c.lru.MoveToFront(el)
-		return el.Value.(*Entry), true
+		return e, true
 	}
 	c.Misses++
-	blocks := l.Repeat(count)
-	e := &Entry{
-		Key:      k,
-		Blocks:   blocks,
-		Segments: len(blocks),
-		Extent:   l.ExtentBytes * int64(count),
-	}
-	for _, b := range blocks {
-		e.Bytes += b.Len
-		if b.Len > e.MaxBlock {
-			e.MaxBlock = b.Len
-		}
-	}
-	e.Canon = datatype.Canonicalize(blocks, e.Extent)
-	if !c.DisablePlans {
-		e.Plan = datatype.CompilePlan(e.Canon)
-		c.Compiled[int(e.Plan.Kind)]++
-	}
-	c.items[k] = c.lru.PushFront(e)
-	if c.capacity > 0 && c.lru.Len() > c.capacity {
-		victim := c.lru.Back()
-		c.lru.Remove(victim)
-		delete(c.items, victim.Value.(*Entry).Key)
-		c.Evictions++
-	}
+	e := NewEntry(l.Repeat(count), l.ExtentBytes*int64(count))
+	c.Compiled[int(e.Plan.Kind)]++
+	c.items[k] = e
 	return e, false
-}
-
-// Invalidate drops the entry for (l, count) if present (MPI_Type_free).
-func (c *Cache) Invalidate(l *datatype.Layout, count int) {
-	k := Key{Sig: l.Canonical(), Count: count}
-	if el, ok := c.items[k]; ok {
-		c.lru.Remove(el)
-		delete(c.items, k)
-	}
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an unused cache.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 )
 
 // newWorld builds a Lassen-shaped world with the named scheme.
@@ -369,9 +370,49 @@ func TestLayoutCacheHitsOnRepeatedSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := w.Rank(0).Cache()
+	c := w.Rank(0).CacheStats()
 	if c.Misses != 1 || c.Hits != 4 {
 		t.Fatalf("cache: %d hits %d misses, want 4/1", c.Hits, c.Misses)
+	}
+}
+
+// TestUnchargedLookupKeepsChargePattern pins the one-cache design: an
+// uncharged LayoutEntry lookup creates the shared entry, yet the first
+// charged lookup of that entry still pays the miss cost and only the
+// second pays the hit cost. Pricing a charge by "entry exists" would make
+// the first Isend a hit and silently shift every collective's clock.
+func TestUnchargedLookupKeepsChargePattern(t *testing.T) {
+	w := newWorld("Proposed-Tuned", func(c *mpi.Config) { c.Timeline = &timeline.Options{} })
+	l := denseLayout()
+	sbuf := w.Rank(0).Dev.Alloc("s", int(l.ExtentBytes))
+	rbuf := w.Rank(4).Dev.Alloc("r", int(l.ExtentBytes))
+	err := w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		switch r.ID() {
+		case 0:
+			r.LayoutEntry(l, 1)
+			r.Wait(p, r.Isend(p, 4, 0, sbuf, l, 1))
+			r.Wait(p, r.Isend(p, 4, 1, sbuf, l, 1))
+		case 4:
+			r.Wait(p, r.Irecv(p, 0, 0, rbuf, l, 1))
+			r.Wait(p, r.Irecv(p, 0, 1, rbuf, l, 1))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var charges []int64
+	for _, ev := range w.Rank(0).Timeline().Events() {
+		if ev.Name == "layout-lookup" {
+			charges = append(charges, ev.Dur)
+		}
+	}
+	cost := w.Cfg.CacheCost
+	want := []int64{cost.Lookup(false, l.NumBlocks()), cost.Lookup(true, l.NumBlocks())}
+	if fmt.Sprint(charges) != fmt.Sprint(want) {
+		t.Fatalf("layout-lookup charges %v, want %v (miss, then hit)", charges, want)
+	}
+	if n := w.Rank(0).CacheStats().TotalCompiled(); n != 1 {
+		t.Fatalf("%d plans compiled, want 1 shared entry", n)
 	}
 }
 

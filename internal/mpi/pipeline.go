@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/pack"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -69,18 +70,17 @@ func (r *Rank) startPipelinedSend(p *sim.Proc, q *Request, buf *gpu.Buffer) {
 	q.packed = r.stagingBuf(q.bytes)
 	var off int64
 	for _, g := range groups {
-		job := pack.NewJob(pack.OpPack, buf, q.packed, g)
+		// Each chunk packs through a plan compiled from its own block
+		// group. The compile is host-only and outside the rank's cache,
+		// so it neither charges virtual time nor counts in CacheStats.
+		job := pack.NewJob(pack.OpPack, buf, q.packed, layoutcache.NewEntry(g, q.entry.Extent))
 		job.TargetOff = off
-		var bytes int64
-		for _, b := range g {
-			bytes += b.Len
-		}
 		q.chunks = append(q.chunks, sendChunk{
 			handle: r.scheme.Pack(p, job),
 			off:    off,
-			bytes:  bytes,
+			bytes:  job.Bytes,
 		})
-		off += bytes
+		off += job.Bytes
 	}
 	q.state = stPacking
 	// Envelope goes out immediately (ordered): the receiver needs it to

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/sim"
 )
 
@@ -58,11 +59,10 @@ type Job struct {
 	// TargetBlocks is the destination layout for OpDirectIPC only; nil
 	// means same layout as Blocks.
 	TargetBlocks []datatype.Block
-	// Plan is the compiled pack routine for Blocks' canonical form, when
-	// the owning rank's layout cache has one (OpPack/OpUnpack only; nil
-	// falls back to the legacy block-list loops). Plans change host
-	// execution speed only — Bytes/Segments/MaxBlock stay block-derived,
-	// so kernel specs and virtual-time charges are identical either way.
+	// Plan is the compiled pack routine for Blocks' canonical form; every
+	// OpPack/OpUnpack job runs through it (DirectIPC walks the block
+	// lists instead). Plans change host execution only: the cost-model
+	// aggregates below come from the same layout entry.
 	Plan *datatype.Plan
 	// Aggregates for the cost model.
 	Bytes    int64
@@ -74,132 +74,58 @@ type Job struct {
 	PeerLatencyNs    int64
 }
 
-// NewJob builds a job from a flattened block list, computing aggregates.
-func NewJob(op Op, origin, target *gpu.Buffer, blocks []datatype.Block) *Job {
-	j := &Job{Op: op, Origin: origin, Target: target, Blocks: blocks, Segments: len(blocks)}
-	for _, b := range blocks {
-		j.Bytes += b.Len
-		if b.Len > j.MaxBlock {
-			j.MaxBlock = b.Len
-		}
+// NewJob builds a job over one layout entry: its blocks, compiled plan and
+// cost-model aggregates.
+func NewJob(op Op, origin, target *gpu.Buffer, e *layoutcache.Entry) *Job {
+	return &Job{
+		Op: op, Origin: origin, Target: target,
+		Blocks: e.Blocks, Plan: e.Plan,
+		Bytes: e.Bytes, Segments: e.Segments, MaxBlock: e.MaxBlock,
 	}
-	return j
 }
 
 // Execute performs the byte movement. It is designed to run as a kernel's
 // Exec callback (scheduler context) but is also usable directly for
 // CPU-driven packing. When either buffer is lazy the per-block copies go
 // through gpu.CopyRange (span bookkeeping instead of real bytes); the
-// byte-exact fast paths are untouched when both buffers are real.
+// compiled plan's byte-exact loops run when both buffers are real.
 func (j *Job) Execute() {
 	lazy := j.Origin.IsLazy() || j.Target.IsLazy()
 	switch j.Op {
 	case OpPack:
 		if lazy {
 			w := j.TargetOff
-			if j.Plan != nil {
-				// Lazy-aware plan variant: iterate the compiled runs
-				// and emit the same span sequence as the block list.
-				j.Plan.Canon.EachBlock(func(off, n int64) {
-					gpu.CopyRange(j.Target, w, j.Origin, off, n)
-					w += n
-				})
-				return
-			}
-			for _, b := range j.Blocks {
-				gpu.CopyRange(j.Target, w, j.Origin, b.Offset, b.Len)
-				w += b.Len
-			}
+			j.Plan.Canon.EachBlock(func(off, n int64) {
+				gpu.CopyRange(j.Target, w, j.Origin, off, n)
+				w += n
+			})
 			return
 		}
-		if j.Plan != nil {
-			j.Plan.Pack(j.Origin.Data, j.Target.Data[j.TargetOff:])
-			return
-		}
-		gather(j.Origin.Data, j.Blocks, j.Target.Data[j.TargetOff:])
+		j.Plan.Pack(j.Origin.Data, j.Target.Data[j.TargetOff:])
 	case OpUnpack:
 		if lazy {
 			r := j.OriginOff
-			if j.Plan != nil {
-				j.Plan.Canon.EachBlock(func(off, n int64) {
-					gpu.CopyRange(j.Target, off, j.Origin, r, n)
-					r += n
-				})
-				return
-			}
-			for _, b := range j.Blocks {
-				gpu.CopyRange(j.Target, b.Offset, j.Origin, r, b.Len)
-				r += b.Len
-			}
+			j.Plan.Canon.EachBlock(func(off, n int64) {
+				gpu.CopyRange(j.Target, off, j.Origin, r, n)
+				r += n
+			})
 			return
 		}
-		if j.Plan != nil {
-			j.Plan.Unpack(j.Origin.Data[j.OriginOff:], j.Target.Data)
-			return
-		}
-		scatter(j.Origin.Data[j.OriginOff:], j.Target.Data, j.Blocks)
+		j.Plan.Unpack(j.Origin.Data[j.OriginOff:], j.Target.Data)
 	case OpDirectIPC:
 		dstBlocks := j.TargetBlocks
 		if dstBlocks == nil {
 			dstBlocks = j.Blocks
 		}
-		if lazy {
-			lazyCopyBlocks(j.Origin, j.Blocks, j.Target, dstBlocks)
-			return
-		}
-		copyBlocks(j.Origin.Data, j.Blocks, j.Target.Data, dstBlocks)
+		copyBlocks(j.Origin, j.Blocks, j.Target, dstBlocks)
 	default:
 		panic(fmt.Sprintf("pack: unknown op %d", j.Op))
 	}
 }
 
-// gather packs src's blocks into contiguous dst.
-func gather(src []byte, blocks []datatype.Block, dst []byte) {
-	var w int64
-	for _, b := range blocks {
-		copy(dst[w:w+b.Len], src[b.Offset:b.Offset+b.Len])
-		w += b.Len
-	}
-}
-
-// scatter unpacks contiguous src into dst's blocks.
-func scatter(src []byte, dst []byte, blocks []datatype.Block) {
-	var r int64
-	for _, b := range blocks {
-		copy(dst[b.Offset:b.Offset+b.Len], src[r:r+b.Len])
-		r += b.Len
-	}
-}
-
 // copyBlocks streams srcBlocks of src into dstBlocks of dst; the two block
 // lists must cover the same number of bytes but may be cut differently.
-func copyBlocks(src []byte, srcBlocks []datatype.Block, dst []byte, dstBlocks []datatype.Block) {
-	si, di := 0, 0
-	var so, do int64
-	for si < len(srcBlocks) && di < len(dstBlocks) {
-		sb, db := srcBlocks[si], dstBlocks[di]
-		n := sb.Len - so
-		if rem := db.Len - do; rem < n {
-			n = rem
-		}
-		copy(dst[db.Offset+do:db.Offset+do+n], src[sb.Offset+so:sb.Offset+so+n])
-		so += n
-		do += n
-		if so == sb.Len {
-			si, so = si+1, 0
-		}
-		if do == db.Len {
-			di, do = di+1, 0
-		}
-	}
-	if si < len(srcBlocks) || di < len(dstBlocks) {
-		panic("pack: block lists cover different byte counts")
-	}
-}
-
-// lazyCopyBlocks is copyBlocks over gpu.CopyRange, for when either side is
-// a lazy buffer.
-func lazyCopyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
+func copyBlocks(src *gpu.Buffer, srcBlocks []datatype.Block, dst *gpu.Buffer, dstBlocks []datatype.Block) {
 	si, di := 0, 0
 	var so, do int64
 	for si < len(srcBlocks) && di < len(dstBlocks) {

@@ -9,12 +9,24 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/gpu"
+	"repro/internal/layoutcache"
 	"repro/internal/sim"
 )
 
 func newDev() (*sim.Env, *gpu.Device) {
 	env := sim.NewEnv()
 	return env, gpu.NewDevice(env, cluster.VoltaV100NVLink(), 0, 0)
+}
+
+// entryOf builds the uncached layout entry (blocks + compiled plan) of one
+// element of l.
+func entryOf(l *datatype.Layout) *layoutcache.Entry {
+	return layoutcache.NewEntry(l.Blocks, l.ExtentBytes)
+}
+
+// blocksEntry builds an uncached entry over a literal block list.
+func blocksEntry(blocks []datatype.Block) *layoutcache.Entry {
+	return layoutcache.NewEntry(blocks, 0)
 }
 
 func fillPattern(b *gpu.Buffer, seed int64) {
@@ -27,7 +39,7 @@ func TestNewJobAggregates(t *testing.T) {
 	l := datatype.Commit(datatype.Vector(4, 2, 5, datatype.Float64))
 	src := d.Alloc("src", int(l.ExtentBytes))
 	dst := d.Alloc("dst", int(l.SizeBytes))
-	j := NewJob(OpPack, src, dst, l.Blocks)
+	j := NewJob(OpPack, src, dst, entryOf(l))
 	if j.Bytes != l.SizeBytes || j.Segments != 4 || j.MaxBlock != 16 {
 		t.Fatalf("aggregates wrong: %+v", j)
 	}
@@ -39,7 +51,7 @@ func TestPackExecuteGathers(t *testing.T) {
 	src := d.Alloc("src", int(l.ExtentBytes))
 	dst := d.Alloc("dst", int(l.SizeBytes))
 	fillPattern(src, 1)
-	NewJob(OpPack, src, dst, l.Blocks).Execute()
+	NewJob(OpPack, src, dst, entryOf(l)).Execute()
 	ref := make([]byte, l.SizeBytes)
 	l.Pack(src.Data, ref)
 	if !bytes.Equal(dst.Data, ref) {
@@ -53,7 +65,7 @@ func TestUnpackExecuteScatters(t *testing.T) {
 	packed := d.Alloc("packed", int(l.SizeBytes))
 	dst := d.Alloc("dst", int(l.ExtentBytes))
 	fillPattern(packed, 2)
-	NewJob(OpUnpack, packed, dst, l.Blocks).Execute()
+	NewJob(OpUnpack, packed, dst, entryOf(l)).Execute()
 	ref := make([]byte, l.ExtentBytes)
 	l.Unpack(packed.Data, ref)
 	if !bytes.Equal(dst.Data, ref) {
@@ -67,7 +79,7 @@ func TestPackWithTargetOffset(t *testing.T) {
 	src := d.Alloc("src", int(l.ExtentBytes))
 	dst := d.Alloc("dst", 16)
 	src.Data[0], src.Data[2] = 0xAA, 0xBB
-	j := NewJob(OpPack, src, dst, l.Blocks)
+	j := NewJob(OpPack, src, dst, entryOf(l))
 	j.TargetOff = 8
 	j.Execute()
 	if dst.Data[8] != 0xAA || dst.Data[9] != 0xBB {
@@ -81,7 +93,7 @@ func TestUnpackWithOriginOffset(t *testing.T) {
 	packed := d.Alloc("packed", 16)
 	dst := d.Alloc("dst", int(l.ExtentBytes))
 	packed.Data[4], packed.Data[5] = 0x11, 0x22
-	j := NewJob(OpUnpack, packed, dst, l.Blocks)
+	j := NewJob(OpUnpack, packed, dst, entryOf(l))
 	j.OriginOff = 4
 	j.Execute()
 	if dst.Data[0] != 0x11 || dst.Data[2] != 0x22 {
@@ -97,7 +109,7 @@ func TestDirectIPCDifferentLayouts(t *testing.T) {
 	for i := range src.Data {
 		src.Data[i] = byte(i)
 	}
-	j := NewJob(OpDirectIPC, src, dst, []datatype.Block{{Offset: 0, Len: 3}, {Offset: 10, Len: 3}})
+	j := NewJob(OpDirectIPC, src, dst, blocksEntry([]datatype.Block{{Offset: 0, Len: 3}, {Offset: 10, Len: 3}}))
 	j.TargetBlocks = []datatype.Block{{Offset: 0, Len: 2}, {Offset: 8, Len: 2}, {Offset: 16, Len: 2}}
 	j.Execute()
 	want := []byte{0, 1, 2, 10, 11, 12}
@@ -111,7 +123,7 @@ func TestDirectIPCMismatchedBytesPanics(t *testing.T) {
 	_, d := newDev()
 	src := d.Alloc("src", 32)
 	dst := d.Alloc("dst", 32)
-	j := NewJob(OpDirectIPC, src, dst, []datatype.Block{{Offset: 0, Len: 4}})
+	j := NewJob(OpDirectIPC, src, dst, blocksEntry([]datatype.Block{{Offset: 0, Len: 4}}))
 	j.TargetBlocks = []datatype.Block{{Offset: 0, Len: 2}}
 	defer func() {
 		if recover() == nil {
@@ -125,7 +137,7 @@ func TestKernelSpecCarriesIPCFloor(t *testing.T) {
 	_, d := newDev()
 	src := d.Alloc("src", 1<<20)
 	dst := d.Alloc("dst", 1<<20)
-	j := NewJob(OpDirectIPC, src, dst, []datatype.Block{{Offset: 0, Len: 1 << 20}})
+	j := NewJob(OpDirectIPC, src, dst, blocksEntry([]datatype.Block{{Offset: 0, Len: 1 << 20}}))
 	j.PeerBWBytesPerNs = 50
 	j.PeerLatencyNs = 700
 	spec := j.KernelSpec()
@@ -134,7 +146,7 @@ func TestKernelSpecCarriesIPCFloor(t *testing.T) {
 		t.Fatalf("floor = %d, want %d", spec.MinDurationNs, wantFloor)
 	}
 	// Pack jobs have no floor.
-	if NewJob(OpPack, src, dst, []datatype.Block{{Offset: 0, Len: 64}}).KernelSpec().MinDurationNs != 0 {
+	if NewJob(OpPack, src, dst, blocksEntry([]datatype.Block{{Offset: 0, Len: 64}})).KernelSpec().MinDurationNs != 0 {
 		t.Fatal("pack job must not carry an IPC floor")
 	}
 }
@@ -147,7 +159,7 @@ func TestGPUEngineMovesBytesAtKernelCompletion(t *testing.T) {
 	dst := d.Alloc("dst", int(l.SizeBytes))
 	fillPattern(src, 3)
 	env.Spawn("host", func(p *sim.Proc) {
-		c := e.Run(p, NewJob(OpPack, src, dst, l.Blocks))
+		c := e.Run(p, NewJob(OpPack, src, dst, entryOf(l)))
 		if c.Done() {
 			t.Error("kernel retired instantly")
 		}
@@ -170,7 +182,7 @@ func TestCPUEngineBlocksForCostAndMoves(t *testing.T) {
 	src := d.Alloc("src", int(l.ExtentBytes))
 	dst := d.Alloc("dst", int(l.SizeBytes))
 	fillPattern(src, 4)
-	j := NewJob(OpPack, src, dst, l.Blocks)
+	j := NewJob(OpPack, src, dst, entryOf(l))
 	var took int64
 	env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
@@ -226,8 +238,8 @@ func TestPropertyJobRoundTrip(t *testing.T) {
 		packed := d.Alloc("packed", int(l.SizeBytes))
 		out := d.Alloc("out", int(l.ExtentBytes))
 		fillPattern(src, seed)
-		NewJob(OpPack, src, packed, l.Blocks).Execute()
-		NewJob(OpUnpack, packed, out, l.Blocks).Execute()
+		NewJob(OpPack, src, packed, entryOf(l)).Execute()
+		NewJob(OpUnpack, packed, out, entryOf(l)).Execute()
 		for _, b := range l.Blocks {
 			if !bytes.Equal(out.Data[b.Offset:b.Offset+b.Len], src.Data[b.Offset:b.Offset+b.Len]) {
 				return false
@@ -269,17 +281,17 @@ func TestPropertyCopyBlocksStreamEquality(t *testing.T) {
 			}
 			return int(max)
 		}
-		src := make([]byte, need(srcBlocks))
-		dst := make([]byte, need(dstBlocks))
-		rng.Read(src)
+		src := &gpu.Buffer{Data: make([]byte, need(srcBlocks))}
+		dst := &gpu.Buffer{Data: make([]byte, need(dstBlocks))}
+		rng.Read(src.Data)
 		copyBlocks(src, srcBlocks, dst, dstBlocks)
 		read := make([]byte, 0, total)
 		for _, b := range srcBlocks {
-			read = append(read, src[b.Offset:b.Offset+b.Len]...)
+			read = append(read, src.Data[b.Offset:b.Offset+b.Len]...)
 		}
 		written := make([]byte, 0, total)
 		for _, b := range dstBlocks {
-			written = append(written, dst[b.Offset:b.Offset+b.Len]...)
+			written = append(written, dst.Data[b.Offset:b.Offset+b.Len]...)
 		}
 		return bytes.Equal(read, written)
 	}

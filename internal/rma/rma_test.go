@@ -8,8 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/fault"
+	"repro/internal/gpu"
 	"repro/internal/mpi"
-	"repro/internal/pack"
 	"repro/internal/rma"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -224,8 +224,11 @@ func TestPackPut(t *testing.T) {
 					lorigin := r.Dev.Alloc(fmt.Sprintf("lorigin%d", id), int(entry.Extent)*count)
 					lorigin.FillStream(uint64(left) + 11)
 					ref := r.Dev.Alloc(fmt.Sprintf("ref%d", id), int(entry.Bytes))
-					job := pack.NewJob(pack.OpPack, lorigin, ref, entry.Blocks)
-					job.Execute()
+					var off int64
+					for _, b := range entry.Blocks {
+						gpu.CopyRange(ref, off, lorigin, b.Offset, b.Len)
+						off += b.Len
+					}
 					got := win.Buf(id).ChecksumRange(entry.Bytes, entry.Bytes)
 					want := ref.ChecksumRange(0, entry.Bytes)
 					if got != want {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datatype"
 	"repro/internal/fusion"
+	"repro/internal/layoutcache"
 	"repro/internal/mpi"
 	"repro/internal/pack"
 	"repro/internal/schemes"
@@ -40,7 +41,7 @@ func sparseJob(r *mpi.Rank, segments, blockBytes int) *pack.Job {
 	jobSeq++
 	src := r.Dev.Alloc(fmt.Sprintf("src%d", jobSeq), int(l.ExtentBytes))
 	dst := r.Dev.Alloc(fmt.Sprintf("dst%d", jobSeq), int(l.SizeBytes))
-	return pack.NewJob(pack.OpPack, src, dst, l.Blocks)
+	return pack.NewJob(pack.OpPack, src, dst, layoutcache.NewEntry(l.Blocks, l.ExtentBytes))
 }
 
 func TestGPUSyncHandleImmediatelyDone(t *testing.T) {
